@@ -128,7 +128,7 @@ func BenchmarkExactDAG(b *testing.B) {
 // equivalence suite in internal/core proves the answers identical where
 // both run.
 func BenchmarkSATCertain(b *testing.B) {
-	for _, groups := range []int{2, 4, 5, 22, 64} {
+	for _, groups := range []int{2, 4, 5, 22, 64, 256} {
 		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
 			d, sigma := workload.Cliques(workload.CliqueConfig{
 				Groups: groups, GroupSize: 3, Core: 2, Seed: 1,

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,7 +193,7 @@ func run(dbPath, sigmaPath, queryPath, genName, mode, semantics string, eps, del
 				res.Stats.Decisions, res.Stats.Propagations, res.Stats.Conflicts, res.Stats.Learned, res.Stats.Restarts)
 		}
 		if dimacsDir != "" {
-			if err := exportDIMACS(enc, q, res.CandidateTuples, dimacsDir); err != nil {
+			if err := exportDIMACS(enc, q, dimacsDir); err != nil {
 				return err
 			}
 			fmt.Printf("dimacs: wrote %d candidate formulas to %s\n", len(res.CandidateTuples), dimacsDir)
@@ -296,34 +297,15 @@ func run(dbPath, sigmaPath, queryPath, genName, mode, semantics string, eps, del
 // exportDIMACS writes one DIMACS file per candidate tuple so the "tuple
 // is NOT certain" formulas can be handed to an external solver as a
 // cross-check of the embedded one.
-func exportDIMACS(enc *sat.Encoder, q *fo.Query, tuples [][]string, dir string) error {
+func exportDIMACS(enc *sat.Encoder, q *fo.Query, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for i, tup := range tuples {
-		path := filepath.Join(dir, fmt.Sprintf("candidate_%03d.cnf", i))
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := enc.WriteTupleDIMACS(f, q, tup); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return enc.ExportDIMACS(q, func(i int, _ []string) (io.WriteCloser, error) {
+		return os.Create(filepath.Join(dir, fmt.Sprintf("candidate_%03d.cnf", i)))
+	})
 }
 
 func joinTuple(tuple []string) string {
-	out := ""
-	for i, c := range tuple {
-		if i > 0 {
-			out += ", "
-		}
-		out += c
-	}
-	return out
+	return strings.Join(tuple, ", ")
 }

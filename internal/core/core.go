@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/fo"
 	"repro/internal/markov"
@@ -414,12 +415,18 @@ func (as *AnswerSet) Lookup(tuple []string) *big.Rat {
 // String renders the answer set one tuple per line with exact and decimal
 // probabilities.
 func (as *AnswerSet) String() string {
-	out := fmt.Sprintf("OCA for %s:\n", as.Query)
+	var b strings.Builder
+	fmt.Fprintf(&b, "OCA for %s:\n", as.Query)
 	if len(as.Answers) == 0 {
-		return out + "  (no tuple has positive probability)\n"
+		b.WriteString("  (no tuple has positive probability)\n")
+		return b.String()
 	}
 	for _, a := range as.Answers {
-		out += fmt.Sprintf("  %s : %s\n", fo.TupleString(a.Tuple), prob.Format(a.P))
+		b.WriteString("  ")
+		b.WriteString(fo.TupleString(a.Tuple))
+		b.WriteString(" : ")
+		b.WriteString(prob.Format(a.P))
+		b.WriteByte('\n')
 	}
-	return out
+	return b.String()
 }

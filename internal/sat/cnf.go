@@ -1,8 +1,10 @@
 package sat
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Var is a propositional variable, numbered 1..NumVars like DIMACS.
@@ -71,8 +73,6 @@ func (c *CNF) Add(lits ...Lit) {
 
 // Clone returns a copy sharing the (immutable) clause bodies: the clause
 // list itself is copied, so clauses added to the clone do not leak back.
-// The certain-answer compiler clones the shared group constraints once per
-// candidate tuple and stacks the tuple's witness clauses on top.
 func (c *CNF) Clone() *CNF {
 	out := &CNF{nv: c.nv, hasEmpty: c.hasEmpty}
 	out.clauses = make([][]Lit, len(c.clauses), len(c.clauses)+8)
@@ -137,25 +137,22 @@ func (c *CNF) ExactlyOne(vars []Var) {
 
 // WriteDIMACS emits the formula in DIMACS CNF format, preceded by the
 // given comment lines (written as "c <line>"), for cross-checking against
-// external solvers.
+// external solvers. Output is buffered; w sees it all before WriteDIMACS
+// returns.
 func (c *CNF) WriteDIMACS(w io.Writer, comments ...string) error {
+	bw := bufio.NewWriter(w)
 	for _, line := range comments {
-		if _, err := fmt.Fprintf(w, "c %s\n", line); err != nil {
-			return err
-		}
+		fmt.Fprintf(bw, "c %s\n", line)
 	}
-	if _, err := fmt.Fprintf(w, "p cnf %d %d\n", c.nv, len(c.clauses)); err != nil {
-		return err
-	}
+	fmt.Fprintf(bw, "p cnf %d %d\n", c.nv, len(c.clauses))
+	var num []byte
 	for _, cl := range c.clauses {
 		for _, l := range cl {
-			if _, err := fmt.Fprintf(w, "%d ", l); err != nil {
-				return err
-			}
+			num = strconv.AppendInt(num[:0], int64(l), 10)
+			bw.Write(num)
+			bw.WriteByte(' ')
 		}
-		if _, err := fmt.Fprintln(w, "0"); err != nil {
-			return err
-		}
+		bw.WriteString("0\n")
 	}
-	return nil
+	return bw.Flush()
 }

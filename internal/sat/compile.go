@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/constraint"
@@ -45,9 +46,10 @@ type Options struct {
 // constraints) pair to CNF. Construction validates the constraint
 // fragment, finds the violating key groups, assigns one boolean per
 // conflicted fact ("the repair keeps this fact"), and builds the shared
-// cardinality clauses; per-query compilation then stacks witness clauses
-// on a clone. Facts outside every violating group survive in every
-// repair and need no variable.
+// cardinality clauses; per-query compilation then pairs each candidate's
+// witness clauses with the cardinality clauses of just the groups those
+// witnesses touch (restrict). Facts outside every violating group survive
+// in every repair and need no variable.
 //
 // An Encoder is read-only after construction and safe for concurrent use.
 type Encoder struct {
@@ -57,6 +59,10 @@ type Encoder struct {
 	vars   map[uint32]Var    // fact ID → keep-variable
 	facts  []relation.Fact   // facts[v-1] = fact of variable v (v ≤ len(facts); ladder auxiliaries come after)
 	groups [][]relation.Fact // violating key groups, deterministic order
+	// groupOf[v-1] is the group of fact variable v; group g's cardinality
+	// clauses are base.clauses[groupClauses[g]:groupClauses[g+1]].
+	groupOf      []int32
+	groupClauses []int32
 }
 
 // NewEncoder validates that sigma consists solely of key-shaped EGDs
@@ -78,18 +84,23 @@ func NewEncoder(db *relation.Database, sigma *constraint.Set, opts Options) (*En
 	}
 	// All fact variables first, cardinality clauses second: ladder
 	// auxiliaries then number past len(e.facts), keeping the fact↔variable
-	// mapping a plain slice.
+	// mapping a plain slice. Groups partition the conflicted facts (one
+	// key per predicate; a fact lies in the group of its key value), which
+	// makes groupOf well defined and is what restrict relies on.
 	cnf := NewCNF(0)
-	for _, g := range e.groups {
+	for gi, g := range e.groups {
 		for _, f := range g {
 			if _, ok := e.vars[f.ID()]; !ok {
 				e.vars[f.ID()] = cnf.NewVar()
 				e.facts = append(e.facts, f)
+				e.groupOf = append(e.groupOf, int32(gi))
 			}
 		}
 	}
 	gv := make([]Var, 0, 8)
+	e.groupClauses = make([]int32, 0, len(e.groups)+1)
 	for _, g := range e.groups {
+		e.groupClauses = append(e.groupClauses, int32(cnf.NumClauses()))
 		gv = gv[:0]
 		for _, f := range g {
 			gv = append(gv, e.vars[f.ID()])
@@ -100,6 +111,7 @@ func NewEncoder(db *relation.Database, sigma *constraint.Set, opts Options) (*En
 			cnf.AtMostOne(gv)
 		}
 	}
+	e.groupClauses = append(e.groupClauses, int32(cnf.NumClauses()))
 	e.base = cnf
 	return e, nil
 }
@@ -240,8 +252,9 @@ type CertainResult struct {
 }
 
 // CertainAnswers computes the certain answers of q: the tuples that are
-// answers in every repair. A candidate tuple is certain iff
-// base ∧ its witness clauses is unsatisfiable.
+// answers in every repair. A candidate tuple is certain iff its witness
+// clauses are unsatisfiable together with the cardinality clauses of the
+// groups they touch (restrict).
 func (e *Encoder) CertainAnswers(q *fo.Query) (*CertainResult, error) {
 	cands, err := e.collect(q)
 	if err != nil {
@@ -256,16 +269,13 @@ func (e *Encoder) CertainAnswers(q *fo.Query) (*CertainResult, error) {
 	for _, c := range cands {
 		res.CandidateTuples = append(res.CandidateTuples, c.tuple)
 	}
+	r := e.newRestrictor()
 	for _, c := range cands {
 		certain := c.certain
 		if certain {
 			res.Immediate++
 		} else {
-			f := e.base.Clone()
-			for _, cl := range c.witness {
-				f.Add(cl...)
-			}
-			s := NewSolver(f)
+			s := NewSolver(r.restrict(c.witness))
 			res.Solved++
 			certain = !s.Solve()
 			res.Stats.Add(s.Stats)
@@ -276,6 +286,120 @@ func (e *Encoder) CertainAnswers(q *fo.Query) (*CertainResult, error) {
 	}
 	fo.SortTuples(res.Answers)
 	return res, nil
+}
+
+// restrictor builds per-candidate formulas over the touched key groups.
+// Its stamp-indexed slices renumber variables without clearing between
+// candidates; each call on the Encoder makes its own, so the Encoder stays
+// read-only.
+type restrictor struct {
+	e       *Encoder
+	stamp   int32
+	gSeen   []int32 // group → stamp of the last candidate touching it
+	vSeen   []int32 // base variable → stamp of the last candidate numbering it
+	renum   []Var   // base variable → restricted variable, valid when vSeen matches
+	touched []int32
+	// origin[i] is the base variable behind restricted variable i+1, for
+	// the candidate most recently restricted.
+	origin []Var
+}
+
+func (e *Encoder) newRestrictor() *restrictor {
+	n := e.base.NumVars() + 1
+	return &restrictor{
+		e:     e,
+		gSeen: make([]int32, len(e.groups)),
+		vSeen: make([]int32, n),
+		renum: make([]Var, n),
+	}
+}
+
+// restrict returns the "tuple is NOT certain" formula of one candidate:
+// the cardinality clauses of the groups its witness clauses touch, plus
+// the witness clauses, with variables renumbered densely from 1 in order
+// of first occurrence. It is satisfiable iff base ∧ witness is: base
+// clauses of different groups share no variable (auxiliaries included),
+// and every group is satisfiable on its own (all-false meets at-most-one;
+// a non-empty group meets exactly-one), so the untouched groups extend
+// any model.
+func (r *restrictor) restrict(witness [][]Lit) *CNF {
+	e := r.e
+	r.stamp++
+	r.touched = r.touched[:0]
+	r.origin = r.origin[:0]
+	nLits, nClauses := 0, len(witness)
+	for _, cl := range witness {
+		nLits += len(cl)
+		for _, l := range cl {
+			// Witness literals are negated fact variables.
+			if g := e.groupOf[-l-1]; r.gSeen[g] != r.stamp {
+				r.gSeen[g] = r.stamp
+				r.touched = append(r.touched, g)
+			}
+		}
+	}
+	slices.Sort(r.touched)
+	for _, g := range r.touched {
+		for _, cl := range e.groupBase(g) {
+			nLits += len(cl)
+		}
+		nClauses += len(e.groupBase(g))
+	}
+	f := &CNF{clauses: make([][]Lit, 0, nClauses)}
+	flat := make([]Lit, nLits)
+	add := func(cl []Lit) {
+		out := flat[:len(cl):len(cl)]
+		flat = flat[len(cl):]
+		for i, l := range cl {
+			if l < 0 {
+				out[i] = -r.number(-l)
+			} else {
+				out[i] = r.number(l)
+			}
+		}
+		f.clauses = append(f.clauses, out)
+	}
+	for _, g := range r.touched {
+		for _, cl := range e.groupBase(g) {
+			add(cl)
+		}
+	}
+	for _, cl := range witness {
+		add(cl)
+	}
+	f.nv = Var(len(r.origin))
+	return f
+}
+
+// groupBase returns group g's cardinality clauses in the base formula.
+func (e *Encoder) groupBase(g int32) [][]Lit {
+	return e.base.clauses[e.groupClauses[g]:e.groupClauses[g+1]]
+}
+
+// number returns base variable v's restricted variable, allocating the
+// next one when the current candidate meets v first.
+func (r *restrictor) number(v Var) Var {
+	if r.vSeen[v] != r.stamp {
+		r.vSeen[v] = r.stamp
+		r.origin = append(r.origin, v)
+		r.renum[v] = Var(len(r.origin))
+	}
+	return r.renum[v]
+}
+
+// find collects q's candidates and returns tuple's, or nil when the tuple
+// has no witness on the full database.
+func (e *Encoder) find(q *fo.Query, tuple []string) (*candidate, error) {
+	cands, err := e.collect(q)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cands {
+		if equalTuples(c.tuple, tuple) {
+			return c, nil
+		}
+	}
+	return nil, nil
 }
 
 // Certain decides one tuple: is it an answer in every repair? A tuple
@@ -295,29 +419,20 @@ func (e *Encoder) Certain(q *fo.Query, tuple []string) (bool, error) {
 	return !s.Solve(), nil
 }
 
-// TupleCNF compiles the "tuple is NOT certain" formula for one tuple.
-// found reports whether the tuple has any witness at all; a nil CNF with
-// found=true means a conflict-free witness made the tuple certain
-// outright (the formula would contain the empty clause).
+// TupleCNF compiles the "tuple is NOT certain" formula for one tuple: the
+// restricted formula CertainAnswers decides (restrict). found reports
+// whether the tuple has any witness at all; a nil CNF with found=true
+// means a conflict-free witness made the tuple certain outright (the
+// formula would contain the empty clause).
 func (e *Encoder) TupleCNF(q *fo.Query, tuple []string) (cnf *CNF, found bool, err error) {
-	cands, err := e.collect(q)
-	if err != nil {
+	c, err := e.find(q, tuple)
+	if err != nil || c == nil {
 		return nil, false, err
 	}
-	for _, c := range cands {
-		if !equalTuples(c.tuple, tuple) {
-			continue
-		}
-		if c.certain {
-			return nil, true, nil
-		}
-		f := e.base.Clone()
-		for _, cl := range c.witness {
-			f.Add(cl...)
-		}
-		return f, true, nil
+	if c.certain {
+		return nil, true, nil
 	}
-	return nil, false, nil
+	return e.newRestrictor().restrict(c.witness), true, nil
 }
 
 func equalTuples(a, b []string) bool {
@@ -334,29 +449,65 @@ func equalTuples(a, b []string) bool {
 
 // WriteTupleDIMACS exports the "tuple is NOT certain" formula in DIMACS
 // CNF for cross-checking with an external solver: UNSAT means certain.
-// Tuples decided without a solver (no witness, or a conflict-free
-// witness) export a trivial equivalent — the empty formula (trivially
-// SAT: not certain) or a single empty clause (trivially UNSAT: certain)
-// — so the external verdict always matches the engine's.
+// The formula is the restricted one the engine decides, with a
+// "var i = keep <fact>" comment per fact variable. Tuples decided without
+// a solver (no witness, or a conflict-free witness) export a trivial
+// equivalent — the empty formula (trivially SAT: not certain) or a single
+// empty clause (trivially UNSAT: certain) — so the external verdict always
+// matches the engine's.
 func (e *Encoder) WriteTupleDIMACS(w io.Writer, q *fo.Query, tuple []string) error {
-	cnf, found, err := e.TupleCNF(q, tuple)
+	c, err := e.find(q, tuple)
 	if err != nil {
 		return err
 	}
+	return e.writeDIMACS(w, q, tuple, c, e.newRestrictor())
+}
+
+// ExportDIMACS writes every candidate's formula, as WriteTupleDIMACS
+// would, from one homomorphism pass. Candidate i (in
+// CertainResult.CandidateTuples order) goes to the writer create returns
+// for it, which ExportDIMACS closes.
+func (e *Encoder) ExportDIMACS(q *fo.Query, create func(i int, tuple []string) (io.WriteCloser, error)) error {
+	cands, err := e.collect(q)
+	if err != nil {
+		return err
+	}
+	r := e.newRestrictor()
+	for i, c := range cands {
+		w, err := create(i, c.tuple)
+		if err != nil {
+			return err
+		}
+		if err := e.writeDIMACS(w, q, c.tuple, c, r); err != nil {
+			w.Close()
+			return err
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeDIMACS writes tuple's formula; c is its candidate, nil when the
+// tuple has no witness.
+func (e *Encoder) writeDIMACS(w io.Writer, q *fo.Query, tuple []string, c *candidate, r *restrictor) error {
 	head := fmt.Sprintf("%s%s is NOT certain iff SAT", q.Name, fo.TupleString(tuple))
 	switch {
-	case !found:
-		cnf = NewCNF(0)
-		return cnf.WriteDIMACS(w, head, "tuple has no witness on the full database: trivially not certain")
-	case cnf == nil:
-		cnf = NewCNF(0)
+	case c == nil:
+		return NewCNF(0).WriteDIMACS(w, head, "tuple has no witness on the full database: trivially not certain")
+	case c.certain:
+		cnf := NewCNF(0)
 		cnf.Add()
 		return cnf.WriteDIMACS(w, head, "tuple has a conflict-free witness: certain in every repair")
 	}
-	comments := make([]string, 0, len(e.facts)+1)
+	cnf := r.restrict(c.witness)
+	comments := make([]string, 0, len(r.origin)+1)
 	comments = append(comments, head)
-	for v, f := range e.facts {
-		comments = append(comments, fmt.Sprintf("var %d = keep %s", v+1, f))
+	for i, v := range r.origin {
+		if int(v) <= len(e.facts) {
+			comments = append(comments, fmt.Sprintf("var %d = keep %s", i+1, e.facts[v-1]))
+		}
 	}
 	return cnf.WriteDIMACS(w, comments...)
 }

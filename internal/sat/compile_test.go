@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -363,6 +364,73 @@ func TestWriteTupleDIMACS(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "p cnf 0 0") {
 		t.Errorf("non-candidate tuple should export the empty formula:\n%s", buf.String())
+	}
+}
+
+// nopCloser is an in-memory ExportDIMACS target.
+type nopCloser struct{ bytes.Buffer }
+
+func (*nopCloser) Close() error { return nil }
+
+// TestExportDIMACS: one pass writes one file per candidate, in
+// CandidateTuples order, each holding exactly the formula TupleCNF gives
+// (the one the solver decides) behind a keep-comment per fact variable.
+func TestExportDIMACS(t *testing.T) {
+	db, sigma := workload.Cliques(workload.CliqueConfig{Groups: 3, GroupSize: 8, Core: 2, Seed: 4})
+	enc, err := sat.NewEncoder(db, sigma, sat.Options{MaximalRepairs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := existsQuery("R")
+	res, err := enc.CertainAnswers(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*nopCloser
+	err = enc.ExportDIMACS(q, func(i int, tuple []string) (io.WriteCloser, error) {
+		if i != len(files) || !equalTuple(tuple, res.CandidateTuples[i]) {
+			t.Fatalf("candidate %d = %v, want %v", i, tuple, res.CandidateTuples[i])
+		}
+		files = append(files, &nopCloser{})
+		return files[i], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != res.Candidates {
+		t.Fatalf("exported %d formulas, want %d", len(files), res.Candidates)
+	}
+	for i, f := range files {
+		tuple := res.CandidateTuples[i]
+		var single bytes.Buffer
+		if err := enc.WriteTupleDIMACS(&single, q, tuple); err != nil {
+			t.Fatal(err)
+		}
+		if f.String() != single.String() {
+			t.Errorf("%v: ExportDIMACS and WriteTupleDIMACS differ:\n%s\nvs\n%s", tuple, f.String(), single.String())
+		}
+		cnf, _, err := enc.TupleCNF(q, tuple)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cnf == nil {
+			continue // conflict-free witness: the p cnf 0 1 shape
+		}
+		var body bytes.Buffer
+		if err := cnf.WriteDIMACS(&body); err != nil {
+			t.Fatal(err)
+		}
+		comments, rest, _ := strings.Cut(f.String(), "p cnf ")
+		if "p cnf "+rest != body.String() {
+			t.Errorf("%v: exported formula is not the decided one:\n%s\nvs\n%s", tuple, rest, body.String())
+		}
+		// One keep-comment per fact variable of the one touched group.
+		if n := strings.Count(comments, "c var "); n != 8 || !strings.Contains(comments, "c var 8 = keep R(") {
+			t.Errorf("%v: %d keep comments, want 8:\n%s", tuple, n, comments)
+		}
+		if cnf.NumVars() >= res.Vars {
+			t.Errorf("%v: %d vars, not restricted below the base's %d", tuple, cnf.NumVars(), res.Vars)
+		}
 	}
 }
 

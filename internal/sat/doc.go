@@ -36,6 +36,25 @@
 // exploration would need 2^63+ sequences solve in microseconds when
 // their logical structure is shallow.
 //
+// The solver never sees the whole conjunction. Each candidate's formula
+// keeps only the cardinality clauses of the groups its witness clauses
+// touch, with variables renumbered densely from 1. This is exact, the
+// SAT form of the paper's localisation argument (conflict components are
+// independent): the groups partition the conflicted facts and each
+// group's clauses, auxiliaries included, mention only its own variables;
+// and every group is satisfiable on its own — all-false meets
+// at-most-one, and a non-empty group meets exactly-one. So any model of
+// the touched part extends to the untouched groups, and
+//
+//	base ∧ witness clauses of t   is satisfiable iff
+//	base restricted to the touched groups ∧ witness clauses of t   is.
+//
+// A candidate then costs time in its own witnesses and touched groups,
+// not in the whole base, so when each group is touched by a bounded
+// number of candidates the certain set takes linear rather than
+// candidates × groups time. CertainAnswers, Certain, TupleCNF and the
+// DIMACS exports all build this one formula.
+//
 // Options.MaximalRepairs switches the cardinality constraint to
 // exactly-one, quantifying over the classical subset-maximal repairs
 // instead (the space CAvSAT itself targets); the certain set can only
@@ -48,9 +67,9 @@
 // propagation, first-UIP clause learning, activity-driven branching with
 // phase saving, geometric restarts) — pure Go, no subprocess. The
 // false-first default polarity means the all-false model of a pure
-// at-most-one base is found in one descent. CNF.WriteDIMACS /
-// Encoder.WriteTupleDIMACS export any instance for external
-// cross-checks: SAT ⇔ not certain.
+// at-most-one base is found in one descent. CNF.WriteDIMACS,
+// Encoder.WriteTupleDIMACS and Encoder.ExportDIMACS export any instance
+// for external cross-checks: SAT ⇔ not certain.
 //
 // core.ComputeCertainSAT is the engine's front door; cmd/ocqa surfaces
 // it as -mode sat.
