@@ -675,8 +675,8 @@ func BenchmarkServe(b *testing.B) {
 		db := d.Clone()
 		vs := constraint.FindViolations(db, sigma)
 		part := abc.NewPartition(vs)
-		fac, err := core.ComputeFactoredDelta(db, sigma, generators.Uniform{},
-			markov.ExploreOptions{}, core.FactoredOptions{NoCache: true}, core.FactoredDelta{Part: part})
+		fac, err := core.ComputeFactoredOn(db, sigma, generators.Uniform{},
+			markov.ExploreOptions{}, core.FactoredOptions{NoCache: true}, part)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -694,8 +694,8 @@ func BenchmarkServe(b *testing.B) {
 			}
 			vs = constraint.FindViolations(db, sigma)
 			part = abc.NewPartition(vs)
-			fac, err = core.ComputeFactoredDelta(db, sigma, generators.Uniform{},
-				markov.ExploreOptions{}, core.FactoredOptions{NoCache: true}, core.FactoredDelta{Part: part})
+			fac, err = core.ComputeFactoredOn(db, sigma, generators.Uniform{},
+				markov.ExploreOptions{}, core.FactoredOptions{NoCache: true}, part)
 			if err != nil {
 				b.Fatal(err)
 			}

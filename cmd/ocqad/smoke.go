@@ -146,7 +146,7 @@ func runSmoke(n int, opts serve.Options) error {
 	// of the shadow database.
 	vs := constraint.FindViolations(shadow, sigma)
 	part := abc.NewPartition(vs)
-	fresh, err := core.ComputeFactoredDelta(shadow, sigma, gen, markov.ExploreOptions{MaxStates: opts.MaxStates}, core.FactoredOptions{}, core.FactoredDelta{Part: part})
+	fresh, err := core.ComputeFactoredOn(shadow, sigma, gen, markov.ExploreOptions{MaxStates: opts.MaxStates}, core.FactoredOptions{}, part)
 	if err != nil {
 		return err
 	}
@@ -169,6 +169,10 @@ func runSmoke(n int, opts serve.Options) error {
 	fmt.Printf("smoke: %d ops (%d ingests), %d facts cross-checked; %d components, %d cumulative recomputes, %d cache shapes\n",
 		len(ops), ingests, checked, st.Components, st.CumRecomputed, st.CacheShapes)
 
+	// The client's transport may hold connections it dialed but never sent
+	// a request on; the server counts those as new, not idle, and Shutdown
+	// would wait for them to age out past its deadline. Close them first.
+	client.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -76,8 +76,6 @@ type vioEntry struct {
 	h         logic.Subst // canonical binding of the universal variables
 	bodyFacts []relation.Fact
 	bodyPack  string // packed sorted body fact ids (process-local cache key)
-	legacyKey string // constraint id + "|" + h.Key(), the stable encoding
-	bodyKey   atomic.Pointer[string]
 }
 
 // NewTGD builds the TGD body → ∃z̄ head, where z̄ are the head variables not
@@ -211,17 +209,6 @@ func (c *Constraint) Head() []logic.Atom { return c.head }
 // otherwise).
 func (c *Constraint) Equality() (left, right logic.Term) { return c.left, c.rght }
 
-// UniversalVars returns the distinct variables of the body in order of
-// first occurrence; these are the universally quantified variables and the
-// domain of every violation homomorphism.
-func (c *Constraint) UniversalVars() []logic.Term {
-	out := make([]logic.Term, len(c.uvars))
-	for i, s := range c.uvars {
-		out[i] = logic.VarSym(s)
-	}
-	return out
-}
-
 // ExistentialVars returns, for a TGD, the head variables that do not occur
 // in the body (the existentially quantified z̄); nil for EGDs and DCs. The
 // slice is cached and must not be modified.
@@ -345,7 +332,6 @@ func (c *Constraint) vioEntryFor(h logic.Subst) *vioEntry {
 		ids[i] = f.ID()
 	}
 	e.bodyPack = string(intern.PackTuple(make([]byte, 0, 4*len(ids)), ids))
-	e.legacyKey = c.id + "|" + canon.Key()
 
 	cur := *c.vioSlice.Load()
 	local = uint32(len(cur))
@@ -354,17 +340,4 @@ func (c *Constraint) vioEntryFor(h logic.Subst) *vioEntry {
 	c.vioIDs[string(key)] = local
 	c.vioSlice.Store(&next)
 	return e
-}
-
-// refreshViolationKeys rebuilds the cached canonical keys of already
-// interned violations; Set.Add calls it when it assigns the constraint its
-// id, so violations interned before the constraint joined a set still
-// render with the final id (a Set must not be mutated once violations are
-// shared between goroutines, which makes this safe).
-func (c *Constraint) refreshViolationKeys() {
-	c.vioMu.Lock()
-	defer c.vioMu.Unlock()
-	for _, e := range (*c.vioSlice.Load())[1:] {
-		e.legacyKey = c.id + "|" + e.h.Key()
-	}
 }

@@ -44,7 +44,6 @@ func NewSet(cs ...*Constraint) *Set {
 func (s *Set) Add(c *Constraint) {
 	if c.id == "" {
 		c.id = fmt.Sprintf("c%d", len(s.constraints))
-		c.refreshViolationKeys()
 	}
 	if _, dup := s.byID[c.id]; dup {
 		panic(fmt.Sprintf("constraint: duplicate id %q in set", c.id))
@@ -192,42 +191,15 @@ func (v Violation) ID() uint64 {
 }
 
 // Key returns the canonical string encoding of the violation, stable across
-// processes: the constraint ID together with the encoded assignment.
+// processes: the constraint ID together with the encoded assignment. It is
+// built on demand — hot paths key violations by ID — and always reads the
+// constraint's current id, so a violation interned before its constraint
+// joined a Set renders with the final id.
 func (v Violation) Key() string {
-	if v.entry != nil {
-		return v.entry.legacyKey
-	}
 	if v.Constraint == nil {
 		return "|"
 	}
 	return v.Constraint.id + "|" + v.H.Key()
-}
-
-// BodyKey returns the canonical string encoding of h(ϕ) as a fact set;
-// violations with equal body images (e.g. the two orientations of an EGD
-// match) share it. It is built lazily — hot paths use the interned body
-// image directly.
-func (v Violation) BodyKey() string {
-	e := v.entry
-	if e == nil {
-		if v.Constraint == nil {
-			return ""
-		}
-		e = v.Constraint.vioEntryFor(v.H)
-	}
-	if k := e.bodyKey.Load(); k != nil {
-		return *k
-	}
-	var b strings.Builder
-	for i, f := range e.bodyFacts {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(f.Key())
-	}
-	k := b.String()
-	e.bodyKey.Store(&k)
-	return k
 }
 
 // bodyPack returns the process-local packed encoding of the body image,
@@ -447,8 +419,18 @@ func (vs *Violations) ByID() []Violation {
 // the order the string-keyed predecessor produced.
 func (vs *Violations) All() []Violation {
 	vs.norm()
-	out := append([]Violation(nil), vs.vs...)
-	slices.SortFunc(out, func(a, b Violation) int { return strings.Compare(a.Key(), b.Key()) })
+	// Keys are built on demand, so compute each once rather than per
+	// comparison.
+	keys := make([]string, len(vs.vs))
+	order := make([]int, len(vs.vs))
+	for i, v := range vs.vs {
+		keys[i], order[i] = v.Key(), i
+	}
+	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	out := make([]Violation, len(order))
+	for i, j := range order {
+		out[i] = vs.vs[j]
+	}
 	return out
 }
 

@@ -14,11 +14,12 @@ import (
 // from-scratch ComputeFactored call or one resident-server publication),
 // opens one structural-cache accounting window, and hands out per-island
 // explorations that are safe to run from any number of goroutines.
-// buildFactored drives it from a per-call worker pool; internal/serve
-// drives it from resident sharded writers and reassembles the Factored
-// with AssembleFactored + UpdateUntouched. Explorations are pure
-// functions of the island's fact set, so the scheduling — which
-// goroutine, which order, which shard — never leaks into the result.
+// ComputeFactoredOn drives it from a per-call worker pool; internal/serve
+// drives it from resident sharded writers. Both publish through
+// AssembleFactored, the incremental path after UpdateUntouched.
+// Explorations are pure functions of the island's fact set, so the
+// scheduling — which goroutine, which order, which shard — never leaks
+// into the result.
 
 // BuildScope groups the component explorations of one factored build.
 // Create one per build with NewBuildScope, Explore each fresh island from
@@ -126,6 +127,11 @@ func (sc *BuildScope) Accounting(explored []Explored) (hits, misses int) {
 	return hits, misses
 }
 
+// untouchedCompactLimit bounds the copy-on-write delta an incrementally
+// maintained untouched core may accumulate before it is folded into a fresh
+// snapshot; see relation.Database.Compact.
+const untouchedCompactLimit = 4096
+
 // UpdateUntouched derives the post-delta untouched core from the
 // previous one in O(delta + touched region): the fact delta is applied,
 // the facts of dissolved islands return when they are still present and
@@ -163,9 +169,10 @@ func UpdateUntouched(prev, db *relation.Database, part *abc.Partition, ops []Fac
 // database, the partition — every island of which must already carry its
 // *Component payload — and the incrementally maintained untouched core.
 // reused, hits, and misses are the caller's build accounting (islands
-// carried verbatim, plus the Accounting split of the explored rest). The
-// result is the same value buildFactored would publish for the same
-// parts; it walks the partition once to align Components with Islands.
+// carried verbatim, plus the Accounting split of the explored rest). It
+// is also the last step of ComputeFactoredOn, so both build paths publish
+// the same value for the same parts; it walks the partition once to align
+// Components with Islands.
 func AssembleFactored(db *relation.Database, sigma *constraint.Set, g LocalGenerator, part *abc.Partition, untouched *relation.Database, reused, hits, misses int) (*Factored, error) {
 	islands := part.Islands()
 	components := make([]*Component, len(islands))

@@ -343,29 +343,54 @@ type AnswerSet struct {
 // OCA evaluates the query over every operational repair and returns the
 // tuples with positive conditional probability, sorted lexicographically.
 func (s *Semantics) OCA(q *fo.Query) *AnswerSet {
-	// Numerators accumulate on the small-rational fast path: one AddBig per
-	// (repair, answer) pair is the hot loop of exact query answering.
-	type acc struct {
-		tuple []string
-		p     prob.Rat
-	}
-	num := map[string]*acc{}
+	acc := newAnswerMass(q)
 	for _, r := range s.Repairs {
-		for _, tuple := range q.Answers(r.DB) {
-			k := fo.TupleKey(tuple)
-			a, ok := num[k]
-			if !ok {
-				a = &acc{tuple: tuple}
-				num[k] = a
-			}
-			a.p.AddBig(r.P)
-		}
+		acc.add(r.DB, r.P)
 	}
-	out := &AnswerSet{Query: q}
-	for _, a := range num {
+	return acc.answers(s.SuccessP)
+}
+
+// answerMass accumulates the unnormalized probability mass of each answer
+// tuple over a weighted set of repairs — the shared core of Semantics.OCA
+// and the enumerated Factored.OCA.
+type answerMass struct {
+	q   *fo.Query
+	num map[string]*tupleMass
+}
+
+// tupleMass is one tuple's numerator. Numerators accumulate on the
+// small-rational fast path: one AddBig per (repair, answer) pair is the hot
+// loop of exact query answering.
+type tupleMass struct {
+	tuple []string
+	p     prob.Rat
+}
+
+func newAnswerMass(q *fo.Query) *answerMass {
+	return &answerMass{q: q, num: map[string]*tupleMass{}}
+}
+
+// add credits every answer of the query over db with the repair mass p.
+func (m *answerMass) add(db *relation.Database, p *big.Rat) {
+	for _, tuple := range m.q.Answers(db) {
+		k := fo.TupleKey(tuple)
+		a, ok := m.num[k]
+		if !ok {
+			a = &tupleMass{tuple: tuple}
+			m.num[k] = a
+		}
+		a.p.AddBig(p)
+	}
+}
+
+// answers normalizes the masses by the success mass den (every probability
+// is 0 when den is), drops the tuples with probability 0, and sorts.
+func (m *answerMass) answers(den *big.Rat) *AnswerSet {
+	out := &AnswerSet{Query: m.q}
+	for _, a := range m.num {
 		p := a.p.Big()
-		if s.SuccessP.Sign() != 0 {
-			p.Quo(p, s.SuccessP)
+		if den.Sign() != 0 {
+			p.Quo(p, den)
 		} else {
 			p = prob.Zero()
 		}
@@ -373,20 +398,31 @@ func (s *Semantics) OCA(q *fo.Query) *AnswerSet {
 			out.Answers = append(out.Answers, Answer{Tuple: a.tuple, P: p})
 		}
 	}
-	// Sort by the tuples themselves: TupleKey is a process-local interned
-	// encoding with no stable order.
-	sort.Slice(out.Answers, func(i, j int) bool {
-		return slices.Compare(out.Answers[i].Tuple, out.Answers[j].Tuple) < 0
-	})
+	sortAnswers(out)
 	return out
+}
+
+// sortAnswers orders an answer set lexicographically by tuple. It sorts by
+// the tuples themselves: TupleKey is a process-local interned encoding
+// with no stable order.
+func sortAnswers(as *AnswerSet) {
+	sort.Slice(as.Answers, func(i, j int) bool {
+		return slices.Compare(as.Answers[i].Tuple, as.Answers[j].Tuple) < 0
+	})
 }
 
 // Certain returns the tuples with CP = 1: answers that hold in every
 // operational repair. Under the uniform chain and a non-failing setting
 // these coincide with the certain answers over the reachable repairs.
 func (s *Semantics) Certain(q *fo.Query) [][]string {
+	return certainTuples(s.OCA(q))
+}
+
+// certainTuples keeps the tuples of an answer set with probability
+// exactly 1, in answer order.
+func certainTuples(as *AnswerSet) [][]string {
 	var out [][]string
-	for _, a := range s.OCA(q).Answers {
+	for _, a := range as.Answers {
 		if prob.IsOne(a.P) {
 			out = append(out, a.Tuple)
 		}

@@ -197,7 +197,6 @@ func (c *Component) marginal(fact relation.Fact) *big.Rat {
 type Factored struct {
 	initial *relation.Database
 	sigma   *constraint.Set
-	inst    *repair.Instance // set by ComputeFactored; rebuilt on demand otherwise
 	gen     markov.Generator
 	part    *abc.Partition
 	// Untouched holds the facts in no violation; they survive every
@@ -214,11 +213,12 @@ type Factored struct {
 	// not apply (non-structural generator, constants in Σ, or
 	// FactoredOptions.NoCache).
 	CacheHits, CacheMisses int
-	// Reused counts the components carried over verbatim from the previous
-	// Factored by ComputeFactoredDelta — their conflict component was not
-	// touched by the delta, so the resident semantics is reused without any
-	// cache traffic. Zero for from-scratch builds; when the structural cache
-	// applies, Reused + CacheHits + CacheMisses == len(Components).
+	// Reused counts the components a resident incremental builder carried
+	// over verbatim from its previous publication (AssembleFactored) —
+	// their conflict component was not touched by the delta, so the
+	// resident semantics is reused without any cache traffic. Zero for
+	// from-scratch builds; when the structural cache applies, Reused +
+	// CacheHits + CacheMisses == len(Components).
 	Reused int
 }
 
@@ -278,7 +278,8 @@ func (c *SemanticsCache) entry(key string, call uint64) *cacheEntry {
 	return e
 }
 
-// FactoredOptions tunes ComputeFactoredOpts beyond the exploration options.
+// FactoredOptions tunes ComputeFactoredOpts and ComputeFactoredOn beyond the
+// exploration options.
 type FactoredOptions struct {
 	// NoCache disables the structural semantics cache even for structural
 	// generators; every component is explored directly. Benchmarks use it
@@ -294,30 +295,6 @@ type FactoredOptions struct {
 type FactDelta struct {
 	Fact   relation.Fact
 	Insert bool
-}
-
-// FactoredDelta describes how a database evolved from a previously computed
-// Factored, letting ComputeFactoredDelta rebuild the semantics with work
-// proportional to the touched conflict region.
-type FactoredDelta struct {
-	// Prev is the factored semantics of the pre-delta database. Nil means
-	// build from scratch (only Part is consulted).
-	Prev *Factored
-	// Part is the post-delta conflict partition, derived from Prev's by
-	// abc.Partition.Update along the applied operations. Islands carried
-	// from Prev's partition hold their Component as Payload and are reused
-	// verbatim; islands with a nil Payload are explored. The partition must
-	// come from the same lineage as Prev — and from builds with the same
-	// generator and exploration options — or the reused semantics would be
-	// silently wrong.
-	Part *abc.Partition
-	// Removed accumulates the islands dissolved by the Updates between
-	// Prev's partition and Part; their facts return to the untouched core
-	// when they are still present and conflict-free.
-	Removed []*abc.Island
-	// Ops are the applied changes, in order (as reported changed by
-	// Database.Insert/Delete).
-	Ops []FactDelta
 }
 
 // ComputeFactored builds the factorized semantics. It requires a
@@ -336,31 +313,18 @@ func ComputeFactoredOpts(inst *repair.Instance, g LocalGenerator, opt markov.Exp
 	// homomorphism search, and form components with the id-keyed
 	// union-find of the abc package.
 	part := abc.NewPartition(inst.Root().Violations())
-	return buildFactored(inst.Initial(), inst.Sigma(), inst, g, opt, fopt, part, nil)
+	return ComputeFactoredOn(inst.Initial(), inst.Sigma(), g, opt, fopt, part)
 }
 
-// ComputeFactoredDelta rebuilds the factorized semantics of db after a
-// delta: components untouched by the delta (d.Part islands carried from
-// d.Prev) are reused verbatim, and only the fresh islands are explored —
-// against the persistent structural cache when one is passed. db is the
-// post-delta database; with d.Prev nil this is a from-scratch build over
-// d.Part. The result is a pure function of (db, Σ, generator, options),
-// bit-identical to a from-scratch ComputeFactored on db for every worker
-// count, reuse pattern, and cache state.
-func ComputeFactoredDelta(db *relation.Database, sigma *constraint.Set, g LocalGenerator, opt markov.ExploreOptions, fopt FactoredOptions, d FactoredDelta) (*Factored, error) {
-	var delta *FactoredDelta
-	if d.Prev != nil {
-		delta = &d
-	}
-	return buildFactored(db, sigma, nil, g, opt, fopt, d.Part, delta)
-}
-
-// untouchedCompactLimit bounds the copy-on-write delta an incrementally
-// maintained untouched core may accumulate before it is folded into a fresh
-// snapshot; see relation.Database.Compact.
-const untouchedCompactLimit = 4096
-
-func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.Instance, g LocalGenerator, opt markov.ExploreOptions, fopt FactoredOptions, part *abc.Partition, delta *FactoredDelta) (*Factored, error) {
+// ComputeFactoredOn builds the factorized semantics of db over part, its
+// conflict partition (abc.NewPartition of V(db,Σ)). Every island is
+// explored — against fopt.Cache when one is passed — and afterwards
+// carries its Component as Payload, so a resident builder can keep the
+// partition and re-explore only the islands later deltas touch (see
+// AssembleFactored). The result is a pure function of (db, Σ, generator,
+// options), bit-identical to ComputeFactored on db for every worker count
+// and cache state.
+func ComputeFactoredOn(db *relation.Database, sigma *constraint.Set, g LocalGenerator, opt markov.ExploreOptions, fopt FactoredOptions, part *abc.Partition) (*Factored, error) {
 	for _, c := range sigma.All() {
 		if c.Kind() == constraint.TGD {
 			return nil, fmt.Errorf("%w: TGD %s allows insertions that may couple components", ErrNotFactorable, c)
@@ -370,63 +334,25 @@ func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.In
 		return nil, fmt.Errorf("%w: generator %s is not local", ErrNotFactorable, g.Name())
 	}
 
-	islands := part.Islands()
-	components := make([]*Component, len(islands))
-	var fresh []int
-	reused := 0
-	for i, isl := range islands {
-		if comp, ok := isl.Payload.(*Component); ok && delta != nil {
-			components[i] = comp
-			reused++
-		} else {
-			fresh = append(fresh, i)
-		}
-	}
-
-	var untouched *relation.Database
-	if delta == nil {
-		// The untouched core is assembled into a fresh database (near-linear
-		// with copy-on-write auto-sealing) rather than cloning the initial
-		// database and deleting every conflicted fact, which is quadratic at
-		// scale.
-		untouched = relation.NewDatabase()
-		for _, f := range db.Facts() {
-			if part.IslandOf(f) == nil {
-				untouched.Insert(f)
-			}
-		}
-		untouched.Seal()
-	} else {
-		// Incremental maintenance, O(delta + touched region).
-		freshIslands := make([]*abc.Island, len(fresh))
-		for fi, i := range fresh {
-			freshIslands[fi] = islands[i]
-		}
-		untouched = UpdateUntouched(delta.Prev.Untouched, db, part, delta.Ops, delta.Removed, freshIslands)
-	}
-
 	// Cap the inner DAG workers while several components are in flight:
 	// the component pool already saturates the CPUs, and the DAG result is
 	// bit-identical for every inner worker count.
+	islands := part.Islands()
 	inner := opt
-	if len(fresh) > 1 {
+	if len(islands) > 1 {
 		inner.Workers = 1
 	}
-
 	scope := NewBuildScope(sigma, g, inner, fopt)
-	explored := make([]Explored, len(fresh))
-	errs := make([]error, len(fresh))
-	work := func(fi int) {
-		i := fresh[fi]
+	explored := make([]Explored, len(islands))
+	errs := make([]error, len(islands))
+	work := func(i int) {
 		e, err := scope.Explore(islands[i])
 		if err != nil {
-			errs[fi] = err
+			errs[i] = err
 			return
 		}
-		explored[fi] = e
-		components[i] = e.Comp
-		// Resident partitions carry the component to later delta builds;
-		// islands are private to this build until the caller publishes, so
+		explored[i] = e
+		// Islands are private to this build until the caller publishes, so
 		// the write is unsynchronized but unshared.
 		islands[i].Payload = e.Comp
 	}
@@ -435,12 +361,12 @@ func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.In
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(fresh) {
-		workers = len(fresh)
+	if workers > len(islands) {
+		workers = len(islands)
 	}
 	if workers <= 1 {
-		for fi := range fresh {
-			work(fi)
+		for i := range islands {
+			work(i)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -449,13 +375,13 @@ func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.In
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for fi := range next {
-					work(fi)
+				for i := range next {
+					work(i)
 				}
 			}()
 		}
-		for fi := range fresh {
-			next <- fi
+		for i := range islands {
+			next <- i
 		}
 		close(next)
 		wg.Wait()
@@ -468,12 +394,21 @@ func buildFactored(db *relation.Database, sigma *constraint.Set, inst *repair.In
 		}
 	}
 
-	out := &Factored{initial: db, sigma: sigma, inst: inst, gen: g, part: part, Untouched: untouched, Components: components, Reused: reused}
+	// The untouched core is assembled into a fresh database (near-linear
+	// with copy-on-write auto-sealing) rather than cloning db and deleting
+	// every conflicted fact, which is quadratic at scale.
+	untouched := relation.NewDatabase()
+	for _, f := range db.Facts() {
+		if part.IslandOf(f) == nil {
+			untouched.Insert(f)
+		}
+	}
+	untouched.Seal()
 	// Deterministic accounting regardless of worker scheduling: explored is
-	// in island order, so the first fresh component of each shape is the
-	// miss candidate and every other one a hit.
-	out.CacheHits, out.CacheMisses = scope.Accounting(explored)
-	return out, nil
+	// in island order, so the first component of each shape is the miss
+	// candidate and every other one a hit.
+	hits, misses := scope.Accounting(explored)
+	return AssembleFactored(db, sigma, g, part, untouched, 0, hits, misses)
 }
 
 // computeComponent explores one component in isolation. vios, when
@@ -651,85 +586,24 @@ func (f *Factored) FactProbability(fact relation.Fact) *big.Rat {
 // maxEnumeratedRepairs bounds full repair enumeration in CP and OCA.
 const maxEnumeratedRepairs = 1 << 20
 
-// atomicQueryFact resolves queries of the form Q(x̄) := R(t̄) — a single
-// positive atom whose arguments are constants or output variables, with
-// every output variable occurring in the atom — to the single ground fact
-// the tuple selects. For such queries Q holds in a repair iff the fact is
-// present, so CP(t̄) is exactly the fact's marginal. ok reports whether the
-// query has that shape; zero reports that the tuple selects a fact that
-// occurs in no database (never interned, or absent), so CP is exactly 0.
-func (f *Factored) atomicQueryFact(q *fo.Query, tuple []string) (fact relation.Fact, zero, ok bool) {
-	atom, isAtom := q.F.(fo.Atom)
-	if !isAtom {
-		return relation.Fact{}, false, false
-	}
-	if len(tuple) != len(q.Out) {
-		return relation.Fact{}, true, true // Holds rejects the tuple everywhere
-	}
-	outIdx := map[intern.Sym]int{}
-	for i, t := range q.Out {
-		outIdx[t.Sym()] = i
-	}
-	used := make([]bool, len(q.Out))
-	args := make([]intern.Sym, len(atom.A.Args))
-	for i, t := range atom.A.Args {
-		if !t.IsVar() {
-			args[i] = t.Sym()
-			continue
-		}
-		j, isOut := outIdx[t.Sym()]
-		if !isOut {
-			return relation.Fact{}, false, false
-		}
-		used[j] = true
-		sym, interned := intern.Lookup(tuple[j])
-		if !interned {
-			return relation.Fact{}, true, true // constant occurs in no database
-		}
-		args[i] = sym
-	}
-	for _, u := range used {
-		if !u {
-			// An output variable outside the atom makes Holds depend on
-			// active-domain membership, not on a single fact.
-			return relation.Fact{}, false, false
-		}
-	}
-	fct, exists := relation.LookupFact(atom.A.Pred, args)
-	if !exists {
-		return relation.Fact{}, true, true
-	}
-	return fct, false, true
-}
-
-// CP computes the exact conditional probability of a tuple. Atomic queries
-// (a single positive atom over constants and output variables) are routed
-// through FactProbability and never enumerate, whatever the scale. Other
-// queries enumerate the product distribution; when the product exceeds
-// maxEnumeratedRepairs CP returns ErrEnumerationBudget instead of running
-// forever — CPOrEstimate falls back to sampling automatically.
-func (f *Factored) CP(q *fo.Query, tuple []string) (*big.Rat, error) {
-	if fact, zero, ok := f.atomicQueryFact(q, tuple); ok {
-		if zero {
-			return prob.Zero(), nil
-		}
-		return f.FactProbability(fact), nil
-	}
+// eachRepair enumerates the product distribution: fn sees every full
+// repair with its unnormalized probability (the database is shared and
+// valid only during the call). It returns the total success mass, or
+// ErrEnumerationBudget — with hint naming the way out — when the product
+// exceeds maxEnumeratedRepairs.
+func (f *Factored) eachRepair(hint string, fn func(db *relation.Database, p *big.Rat)) (*big.Rat, error) {
 	total := f.NumRepairs()
 	if !total.IsInt64() || total.Int64() > maxEnumeratedRepairs {
-		return nil, fmt.Errorf("%w: %s repairs > %d; FactProbability answers atomic queries exactly, EstimateCP samples the rest",
-			ErrEnumerationBudget, total.String(), maxEnumeratedRepairs)
+		return nil, fmt.Errorf("%w: %s repairs > %d; %s",
+			ErrEnumerationBudget, total.String(), maxEnumeratedRepairs, hint)
 	}
-	num := prob.Zero()
 	den := prob.Zero()
 	db := f.Untouched.Clone()
 	var rec func(i int, p *big.Rat)
 	rec = func(i int, p *big.Rat) {
 		if i == len(f.Components) {
 			den.Add(den, p)
-			if q.Holds(db, tuple) {
-				num.Add(num, p)
-			}
+			fn(db, p)
 			return
 		}
 		for _, r := range f.Components[i].Semantics().Repairs {
@@ -743,6 +617,98 @@ func (f *Factored) CP(q *fo.Query, tuple []string) (*big.Rat, error) {
 		}
 	}
 	rec(0, prob.One())
+	return den, nil
+}
+
+// atomicOutputs analyses the atomic query shape Q(x̄) := R(t̄): a single
+// positive atom whose variables are all output variables. It returns the
+// atom and each output variable's index; determined reports that every
+// output variable also occurs in the atom, so a tuple selects exactly one
+// ground fact and Q holds in a repair iff that fact is present. Without
+// it, Holds depends on active-domain membership, not on a single fact.
+func atomicOutputs(q *fo.Query) (atom logic.Atom, outIdx map[intern.Sym]int, determined, ok bool) {
+	a, isAtom := q.F.(fo.Atom)
+	if !isAtom {
+		return logic.Atom{}, nil, false, false
+	}
+	outIdx = make(map[intern.Sym]int, len(q.Out))
+	for i, t := range q.Out {
+		outIdx[t.Sym()] = i
+	}
+	used := make([]bool, len(q.Out))
+	for _, t := range a.A.Args {
+		if !t.IsVar() {
+			continue
+		}
+		j, isOut := outIdx[t.Sym()]
+		if !isOut {
+			return logic.Atom{}, nil, false, false
+		}
+		used[j] = true
+	}
+	for _, u := range used {
+		if !u {
+			return a.A, outIdx, false, true
+		}
+	}
+	return a.A, outIdx, true, true
+}
+
+// atomicCP answers CP for an atomic query without enumerating: the tuple
+// selects one ground fact, whose marginal is CP. ok is false when the
+// query is not atomic or the tuple does not determine a fact. A tuple of
+// the wrong arity, naming a constant that occurs in no database, or
+// selecting an absent fact fails Holds everywhere, so CP is exactly 0.
+func (f *Factored) atomicCP(q *fo.Query, tuple []string) (*big.Rat, bool) {
+	atom, outIdx, determined, ok := atomicOutputs(q)
+	if !ok {
+		return nil, false
+	}
+	if len(tuple) != len(q.Out) {
+		return prob.Zero(), true
+	}
+	args := make([]intern.Sym, len(atom.Args))
+	for i, t := range atom.Args {
+		if !t.IsVar() {
+			args[i] = t.Sym()
+			continue
+		}
+		sym, interned := intern.Lookup(tuple[outIdx[t.Sym()]])
+		if !interned {
+			return prob.Zero(), true
+		}
+		args[i] = sym
+	}
+	if !determined {
+		return nil, false
+	}
+	fact, exists := relation.LookupFact(atom.Pred, args)
+	if !exists {
+		return prob.Zero(), true
+	}
+	return f.FactProbability(fact), true
+}
+
+// CP computes the exact conditional probability of a tuple. Atomic queries
+// (a single positive atom over constants and output variables) are routed
+// through FactProbability and never enumerate, whatever the scale. Other
+// queries enumerate the product distribution; when the product exceeds
+// maxEnumeratedRepairs CP returns ErrEnumerationBudget instead of running
+// forever — CPOrEstimate falls back to sampling automatically.
+func (f *Factored) CP(q *fo.Query, tuple []string) (*big.Rat, error) {
+	if p, ok := f.atomicCP(q, tuple); ok {
+		return p, nil
+	}
+	num := prob.Zero()
+	den, err := f.eachRepair("FactProbability answers atomic queries exactly, EstimateCP samples the rest",
+		func(db *relation.Database, p *big.Rat) {
+			if q.Holds(db, tuple) {
+				num.Add(num, p)
+			}
+		})
+	if err != nil {
+		return nil, err
+	}
 	if den.Sign() == 0 {
 		return prob.Zero(), nil
 	}
@@ -777,53 +743,12 @@ func (f *Factored) OCA(q *fo.Query) (*AnswerSet, error) {
 	if as, ok := f.atomicOCA(q); ok {
 		return as, nil
 	}
-	total := f.NumRepairs()
-	if !total.IsInt64() || total.Int64() > maxEnumeratedRepairs {
-		return nil, fmt.Errorf("%w: %s repairs > %d; only atomic queries have factored OCA at this scale",
-			ErrEnumerationBudget, total.String(), maxEnumeratedRepairs)
+	acc := newAnswerMass(q)
+	den, err := f.eachRepair("only atomic queries have factored OCA at this scale", acc.add)
+	if err != nil {
+		return nil, err
 	}
-	num := map[string]*Answer{}
-	den := prob.Zero()
-	db := f.Untouched.Clone()
-	var rec func(i int, p *big.Rat)
-	rec = func(i int, p *big.Rat) {
-		if i == len(f.Components) {
-			den.Add(den, p)
-			for _, tuple := range q.Answers(db) {
-				k := fo.TupleKey(tuple)
-				a, ok := num[k]
-				if !ok {
-					a = &Answer{Tuple: tuple, P: prob.Zero()}
-					num[k] = a
-				}
-				a.P.Add(a.P, p)
-			}
-			return
-		}
-		for _, r := range f.Components[i].Semantics().Repairs {
-			for _, fact := range r.DB.Facts() {
-				db.Insert(fact)
-			}
-			rec(i+1, new(big.Rat).Mul(p, r.P))
-			for _, fact := range r.DB.Facts() {
-				db.Delete(fact)
-			}
-		}
-	}
-	rec(0, prob.One())
-	out := &AnswerSet{Query: q}
-	for _, a := range num {
-		if den.Sign() != 0 {
-			a.P.Quo(a.P, den)
-		} else {
-			a.P = prob.Zero()
-		}
-		if a.P.Sign() > 0 {
-			out.Answers = append(out.Answers, *a)
-		}
-	}
-	sortAnswers(out)
-	return out, nil
+	return acc.answers(den), nil
 }
 
 // atomicOCA answers an atomic query by a single scan over the initial
@@ -831,29 +756,9 @@ func (f *Factored) OCA(q *fo.Query) (*AnswerSet, error) {
 // tuple whose probability is the fact's marginal (the tuple determines the
 // fact, so no aggregation is needed).
 func (f *Factored) atomicOCA(q *fo.Query) (*AnswerSet, bool) {
-	atom, isAtom := q.F.(fo.Atom)
-	if !isAtom {
+	atom, outIdx, determined, ok := atomicOutputs(q)
+	if !ok || !determined {
 		return nil, false
-	}
-	outIdx := map[intern.Sym]int{}
-	for i, t := range q.Out {
-		outIdx[t.Sym()] = i
-	}
-	used := make([]bool, len(q.Out))
-	for _, t := range atom.A.Args {
-		if !t.IsVar() {
-			continue
-		}
-		j, isOut := outIdx[t.Sym()]
-		if !isOut {
-			return nil, false
-		}
-		used[j] = true
-	}
-	for _, u := range used {
-		if !u {
-			return nil, false
-		}
 	}
 	out := &AnswerSet{Query: q}
 	db := f.initial
@@ -864,15 +769,15 @@ func (f *Factored) atomicOCA(q *fo.Query) (*AnswerSet, bool) {
 		// scan a private O(delta) clone instead.
 		db = db.Clone()
 	}
-	for _, fact := range db.FactsByPred(atom.A.Pred) {
+	for _, fact := range db.FactsByPred(atom.Pred) {
 		fargs := fact.Args()
-		if len(fargs) != len(atom.A.Args) {
+		if len(fargs) != len(atom.Args) {
 			continue
 		}
 		binding := make([]intern.Sym, len(q.Out))
 		bound := make([]bool, len(q.Out))
 		match := true
-		for i, t := range atom.A.Args {
+		for i, t := range atom.Args {
 			if !t.IsVar() {
 				if t.Sym() != fargs[i] {
 					match = false
@@ -902,20 +807,6 @@ func (f *Factored) atomicOCA(q *fo.Query) (*AnswerSet, bool) {
 	}
 	sortAnswers(out)
 	return out, true
-}
-
-// sortAnswers orders an answer set lexicographically by tuple, matching
-// Semantics.OCA.
-func sortAnswers(as *AnswerSet) {
-	sort.Slice(as.Answers, func(i, j int) bool {
-		a, b := as.Answers[i].Tuple, as.Answers[j].Tuple
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
 }
 
 // TotalSequences returns the exact number of complete sequences of the
@@ -1000,18 +891,4 @@ func (f *Factored) EstimateCP(q *fo.Query, tuple []string, eps, delta float64, s
 		}
 	}
 	return float64(hits) / float64(n), nil
-}
-
-// Monolithic recomputes the unfactored semantics (for tests and the
-// ablation benchmarks).
-func (f *Factored) Monolithic(opt markov.ExploreOptions) (*Semantics, error) {
-	inst := f.inst
-	if inst == nil {
-		var err error
-		inst, err = repair.NewInstance(f.initial, f.sigma)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return Compute(inst, f.gen, opt)
 }

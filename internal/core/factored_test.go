@@ -241,6 +241,15 @@ func TestFactoredCPBudget(t *testing.T) {
 	})
 	if _, err := fac.CP(conj, []string{"a", "1", "b", "1"}); !errors.Is(err, core.ErrEnumerationBudget) {
 		t.Errorf("non-atomic over-budget CP: err = %v, want ErrEnumerationBudget", err)
+	} else if want := "core: factored repair enumeration exceeds the budget: 2541865828329 repairs > 1048576; " +
+		"FactProbability answers atomic queries exactly, EstimateCP samples the rest"; err.Error() != want {
+		t.Errorf("over-budget CP error = %q, want %q", err, want)
+	}
+	if _, err := fac.OCA(conj); !errors.Is(err, core.ErrEnumerationBudget) {
+		t.Errorf("non-atomic over-budget OCA: err = %v, want ErrEnumerationBudget", err)
+	} else if want := "core: factored repair enumeration exceeds the budget: 2541865828329 repairs > 1048576; " +
+		"only atomic queries have factored OCA at this scale"; err.Error() != want {
+		t.Errorf("over-budget OCA error = %q, want %q", err, want)
 	}
 
 	// CPOrEstimate degrades to the (ε,δ) sampler on the same query.
@@ -261,6 +270,74 @@ func TestFactoredCPBudget(t *testing.T) {
 	// Fact marginals remain exact and cheap throughout.
 	if p := fac.FactProbability(f("R", "a", "1")); !prob.InUnit(p) || p.Sign() == 0 {
 		t.Errorf("FactProbability = %s", p.RatString())
+	}
+}
+
+// TestFactoredAtomicEdgeCasesMatchMonolithic pins the atomic-query
+// shortcuts of Factored.CP and Factored.OCA against the monolithic
+// semantics on the same instance: tuples of the wrong arity, constants
+// never interned, interned constants whose fact is absent, constant
+// arguments, repeated variables, and an output variable outside the atom
+// (which takes the enumeration route).
+func TestFactoredAtomicEdgeCasesMatchMonolithic(t *testing.T) {
+	d := relation.FromFacts(
+		f("R", "a", "1"), f("R", "a", "2"),
+		f("R", "b", "b"), f("R", "b", "c"),
+		f("R", "c", "c"), f("R", "clean", "x"),
+	)
+	inst := repair.MustInstance(d, keyEGD())
+	fac, err := core.ComputeFactored(inst, generators.Uniform{}, markov.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, err := core.Compute(inst, generators.Uniform{}, markov.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	x, y, z := v("x"), v("y"), v("z")
+	const unknown = "atomic-edge-never-interned"
+	cases := []struct {
+		name   string
+		q      *fo.Query
+		tuples [][]string
+	}{
+		{"plain atom", fo.MustQuery("All", []logic.Term{x, y}, fo.Atom{A: at("R", x, y)}), [][]string{
+			{"a", "1"}, {"b", "c"}, {"clean", "x"},
+			{"a"}, {"a", "1", "2"}, {}, // wrong arity
+			{unknown, "1"}, {"a", unknown}, // never interned
+			{"a", "x"}, {"clean", "1"}, // interned constants, absent fact
+		}},
+		{"constant argument", fo.MustQuery("OfA", []logic.Term{y}, fo.Atom{A: at("R", logic.Const("a"), y)}), [][]string{
+			{"1"}, {"2"}, {"x"}, {"b"}, {unknown}, {"1", "2"},
+		}},
+		{"repeated variable", fo.MustQuery("Loop", []logic.Term{x}, fo.Atom{A: at("R", x, x)}), [][]string{
+			{"b"}, {"c"}, {"a"}, {"1"}, {unknown}, {"b", "b"},
+		}},
+		{"output outside atom", fo.MustQuery("Wide", []logic.Term{x, y, z}, fo.Atom{A: at("R", x, y)}), [][]string{
+			{"a", "1", "b"}, {"a", "1", "clean"}, {"b", "b", "x"},
+			{"a", "x", "1"}, {"a", "1", unknown}, {"a", "1"},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, tuple := range tc.tuples {
+				got, err := fac.CP(tc.q, tuple)
+				if err != nil {
+					t.Fatalf("factored CP%v: %v", tuple, err)
+				}
+				if want := mono.CP(tc.q, tuple); got.Cmp(want) != 0 {
+					t.Errorf("CP%v: factored %s, monolithic %s", tuple, got.RatString(), want.RatString())
+				}
+			}
+			as, err := fac.OCA(tc.q)
+			if err != nil {
+				t.Fatalf("factored OCA: %v", err)
+			}
+			if got, want := as.String(), mono.OCA(tc.q).String(); got != want {
+				t.Errorf("OCA differs:\nfactored:\n%smonolithic:\n%s", got, want)
+			}
+		})
 	}
 }
 

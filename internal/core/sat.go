@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/constraint"
 	"repro/internal/fo"
-	"repro/internal/prob"
 	"repro/internal/relation"
 	"repro/internal/sat"
 )
@@ -42,13 +41,7 @@ func ComputeCertainSAT(db *relation.Database, sigma *constraint.Set, q *fo.Query
 func (f *Factored) Certain(q *fo.Query) ([][]string, error) {
 	as, err := f.OCA(q)
 	if err == nil {
-		var out [][]string
-		for _, a := range as.Answers {
-			if prob.IsOne(a.P) {
-				out = append(out, a.Tuple)
-			}
-		}
-		return out, nil
+		return certainTuples(as), nil
 	}
 	if !errors.Is(err, ErrEnumerationBudget) {
 		return nil, err

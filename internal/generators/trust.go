@@ -86,16 +86,22 @@ func (t *Trust) Transitions(s *repair.State, exts []ops.Op) ([]*big.Rat, error) 
 		return nil, fmt.Errorf("generators: Trust must be built with NewTrust")
 	}
 	// V_Σ(s(D)): the set of violating pairs {α,β}, deduplicated (the two
-	// EGD homomorphisms y/z and z/y yield the same pair).
+	// EGD homomorphisms y/z and z/y yield the same pair). The set does not
+	// depend on iteration order, so it is built in id order; only the error
+	// path walks the key order, to name the same offender every time.
 	pairKeys := map[[2]relation.Fact]struct{}{}
-	for _, v := range s.Violations().All() {
-		body := v.BodyFacts()
-		if len(body) != 2 {
-			return nil, fmt.Errorf(
-				"generators: trust generator requires pairwise conflicts; violation %s involves %d facts",
-				v.Key(), len(body))
+	for _, v := range s.Violations().ByID() {
+		if body := v.BodyFacts(); len(body) == 2 {
+			pairKeys[[2]relation.Fact{body[0], body[1]}] = struct{}{}
+			continue
 		}
-		pairKeys[[2]relation.Fact{body[0], body[1]}] = struct{}{}
+		for _, w := range s.Violations().All() {
+			if n := len(w.BodyFacts()); n != 2 {
+				return nil, fmt.Errorf(
+					"generators: trust generator requires pairwise conflicts; violation %s involves %d facts",
+					w.Key(), n)
+			}
+		}
 	}
 	if len(pairKeys) == 0 {
 		return nil, fmt.Errorf("generators: no violating pairs at non-complete state %q", s)

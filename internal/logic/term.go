@@ -28,9 +28,6 @@ func Var(name string) Term { return Term{sym: intern.S(name), isVar: true} }
 // the allocation-free constructor used on hot paths.
 func ConstSym(s intern.Sym) Term { return Term{sym: s} }
 
-// VarSym returns a variable term over an already-interned symbol.
-func VarSym(s intern.Sym) Term { return Term{sym: s, isVar: true} }
-
 // Name reports the identifier of the term.
 func (t Term) Name() string { return intern.Name(t.sym) }
 
@@ -96,11 +93,6 @@ type Atom struct {
 // NewAtom constructs an atom, interning the predicate name.
 func NewAtom(pred string, args ...Term) Atom {
 	return Atom{Pred: intern.S(pred), Args: args}
-}
-
-// AtomOf constructs an atom over an already-interned predicate symbol.
-func AtomOf(pred intern.Sym, args ...Term) Atom {
-	return Atom{Pred: pred, Args: args}
 }
 
 // PredName reports the predicate name.

@@ -28,9 +28,6 @@ import (
 // NullPrefix marks labeled nulls among constants.
 const NullPrefix = intern.NullPrefix
 
-// IsNullConst reports whether the constant symbol is a labeled null.
-func IsNullConst(c intern.Sym) bool { return intern.IsNull(c) }
-
 // HasNulls reports whether the fact mentions a labeled null.
 func HasNulls(f relation.Fact) bool {
 	for _, a := range f.Args() {
@@ -39,14 +36,6 @@ func HasNulls(f relation.Fact) bool {
 		}
 	}
 	return false
-}
-
-// nullFor derives the canonical null constant for an existential variable
-// of a violation; the derivation hashes the violation's stable string key,
-// so null names are reproducible across processes.
-func nullFor(v constraint.Violation, varName string) string {
-	sum := crc32.ChecksumIEEE([]byte(v.Key()))
-	return fmt.Sprintf("%s%08x_%s", NullPrefix, sum, varName)
 }
 
 // NullAddition returns the single null-based justified insertion fixing a
@@ -59,9 +48,13 @@ func NullAddition(v constraint.Violation, d *relation.Database) (Op, bool) {
 	if c.Kind() != constraint.TGD {
 		return Op{}, false
 	}
+	// Each existential variable gets a canonical null derived from the
+	// violation's stable string key, so null names are reproducible across
+	// processes.
 	h := v.H.Clone()
+	sum := crc32.ChecksumIEEE([]byte(v.Key()))
 	for _, z := range c.ExistentialVars() {
-		h[z.Sym()] = intern.S(nullFor(v, z.Name()))
+		h[z.Sym()] = intern.S(fmt.Sprintf("%s%08x_%s", NullPrefix, sum, z.Name()))
 	}
 	var facts []relation.Fact
 	seen := map[relation.Fact]struct{}{}

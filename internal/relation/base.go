@@ -56,16 +56,6 @@ func (s *Schema) Predicates() []string {
 	return intern.Names(syms)
 }
 
-// PredicateSyms returns the predicate symbols sorted by name.
-func (s *Schema) PredicateSyms() []intern.Sym {
-	syms := make([]intern.Sym, 0, len(s.arity))
-	for p := range s.arity {
-		syms = append(syms, p)
-	}
-	intern.SortSyms(syms)
-	return syms
-}
-
 // Clone returns an independent copy.
 func (s *Schema) Clone() *Schema {
 	out := NewSchema()
@@ -140,10 +130,6 @@ func (b *Base) HasConst(c string) bool {
 	sym, ok := intern.Lookup(c)
 	return ok && b.consts[sym]
 }
-
-// HasConstSym reports whether the constant symbol belongs to the base
-// domain.
-func (b *Base) HasConstSym(c intern.Sym) bool { return b.consts[c] }
 
 // Contains reports whether the fact belongs to B(D,Σ): its predicate is in
 // the schema with matching arity and all its constants are in the domain.

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/intern"
-	"repro/internal/logic"
 )
 
 // snapshot is an immutable, fully indexed set of facts shared between
@@ -240,17 +239,6 @@ func (d *Database) Contains(f Fact) bool {
 	return ok
 }
 
-// ContainsAtom reports whether the ground atom is present as a fact. Atoms
-// naming facts that were never interned are absent by construction, so the
-// lookup never grows the fact table.
-func (d *Database) ContainsAtom(a logic.Atom) bool {
-	f, ok := LookupFactFromAtom(a)
-	if !ok {
-		return false
-	}
-	return d.Contains(f)
-}
-
 func (d *Database) invalidate(f Fact) {
 	p := f.Pred()
 	for i := range d.merged {
@@ -378,25 +366,6 @@ func (d *Database) FactsByPred(pred intern.Sym) []Fact {
 		}
 	}
 	d.merged = append(d.merged, mergedView{pred: pred, facts: out})
-	return out
-}
-
-// FactsByPredName is FactsByPred addressed by predicate name.
-func (d *Database) FactsByPredName(pred string) []Fact {
-	sym, ok := intern.Lookup(pred)
-	if !ok {
-		return nil
-	}
-	return d.FactsByPred(sym)
-}
-
-// AtomsByPred returns the facts with the given predicate as ground atoms.
-func (d *Database) AtomsByPred(pred intern.Sym) []logic.Atom {
-	fs := d.FactsByPred(pred)
-	out := make([]logic.Atom, len(fs))
-	for i, f := range fs {
-		out[i] = f.Atom()
-	}
 	return out
 }
 

@@ -226,22 +226,6 @@ func FactFromAtom(a logic.Atom) (Fact, error) {
 	return FactOf(a.Pred, args), nil
 }
 
-// LookupFactFromAtom is FactFromAtom without interning: it reports whether
-// the ground atom names an already-interned fact. Ground atoms that were
-// never materialized as facts cannot belong to any database, so membership
-// tests use this to avoid growing the fact table.
-func LookupFactFromAtom(a logic.Atom) (Fact, bool) {
-	var stack [16]intern.Sym
-	args := stack[:0]
-	for _, t := range a.Args {
-		if t.IsVar() {
-			return Fact{}, false
-		}
-		args = append(args, t.Sym())
-	}
-	return LookupFact(a.Pred, args)
-}
-
 // MustFactFromAtom is FactFromAtom that panics on non-ground atoms; for use
 // with atoms that are ground by construction.
 func MustFactFromAtom(a logic.Atom) Fact {
@@ -251,23 +235,6 @@ func MustFactFromAtom(a logic.Atom) Fact {
 	}
 	return f
 }
-
-// FactsFromAtoms converts a list of ground atoms into facts.
-func FactsFromAtoms(atoms []logic.Atom) ([]Fact, error) {
-	out := make([]Fact, len(atoms))
-	for i, a := range atoms {
-		f, err := FactFromAtom(a)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = f
-	}
-	return out, nil
-}
-
-// Valid reports whether the fact is a real interned fact (the zero Fact is
-// not).
-func (f Fact) Valid() bool { return f.id != 0 }
 
 // Pred reports the predicate symbol.
 func (f Fact) Pred() intern.Sym {
@@ -436,12 +403,4 @@ func FactsString(fs []Fact) string {
 		parts[i] = f.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// InternedFacts reports the number of distinct facts interned process-wide
-// (excluding the reserved invalid id); for diagnostics and tests.
-func InternedFacts() int {
-	factMu.RLock()
-	defer factMu.RUnlock()
-	return int(factNext) - 1
 }

@@ -95,9 +95,6 @@ func (in *Instance) Sigma() *constraint.Set { return in.sigma }
 // Base returns B(D,Σ).
 func (in *Instance) Base() *relation.Base { return in.base }
 
-// Opts returns the instance options.
-func (in *Instance) Opts() Options { return in.opts }
-
 // Consistent reports whether the initial database already satisfies Σ.
 func (in *Instance) Consistent() bool { return in.sigma.Satisfied(in.initial) }
 

@@ -259,7 +259,7 @@ func New(db *relation.Database, sigma *constraint.Set, gen core.LocalGenerator, 
 	initial.Seal()
 	vs := constraint.FindViolations(initial, sigma)
 	part := abc.NewPartition(vs)
-	fac, err := core.ComputeFactoredDelta(initial, sigma, gen, s.explore(), s.fopt(), core.FactoredDelta{Part: part})
+	fac, err := core.ComputeFactoredOn(initial, sigma, gen, s.explore(), s.fopt(), part)
 	if err != nil {
 		return nil, err
 	}

@@ -81,8 +81,8 @@ func freshProj(t *testing.T, db *relation.Database, sigma *constraint.Set, maxSt
 	t.Helper()
 	vs := constraint.FindViolations(db, sigma)
 	part := abc.NewPartition(vs)
-	fac, err := core.ComputeFactoredDelta(db, sigma, generators.Uniform{},
-		markov.ExploreOptions{MaxStates: maxStates}, core.FactoredOptions{NoCache: true}, core.FactoredDelta{Part: part})
+	fac, err := core.ComputeFactoredOn(db, sigma, generators.Uniform{},
+		markov.ExploreOptions{MaxStates: maxStates}, core.FactoredOptions{NoCache: true}, part)
 	if err != nil {
 		t.Fatalf("from-scratch recompute: %v", err)
 	}
